@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, then the tier-1 build + test pass.
+# Local CI gate: formatting, lints, the tier-1 build + test pass, every
+# workspace test, then the synth and perf smokes.
 # Run from the repo root; any failure aborts with a non-zero exit.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -16,62 +17,8 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> fault injection: cargo test --test failure_injection"
-cargo test -q --test failure_injection
-
-echo "==> batched/parallel equivalence + zero-copy goldens: cargo test --test batched_equivalence"
-cargo test -q --test batched_equivalence
-
-echo "==> telemetry surface (incl. coalescing counter): cargo test --test metrics_endpoint"
-cargo test -q --test metrics_endpoint
-
-echo "==> single-flight coalescing (incl. shard race + leader panic): cargo test -p minaret-scholarly coalesc"
-cargo test -q -p minaret-scholarly coalesc
-
-echo "==> sharded map primitives: cargo test -p minaret-concurrent"
-cargo test -q -p minaret-concurrent
-
-echo "==> sharded vs single-lock equivalence + linearizability smoke: cargo test --test shard_equivalence"
-cargo test -q --test shard_equivalence
-
-echo "==> load shedding: cargo test --test load_shedding"
-cargo test -q --test load_shedding
-
-echo "==> keep-alive semantics: cargo test --test keep_alive"
-cargo test -q --test keep_alive
-
-echo "==> result cache: cargo test --test result_cache"
-cargo test -q --test result_cache
-
-echo "==> embedded store (WAL, tables, recovery, crash safety): cargo test -p minaret-store"
-cargo test -q -p minaret-store
-
-echo "==> store persistence goldens (RAM vs --data-dir byte-identical): cargo test --test store_persistence"
-cargo test -q --test store_persistence
-
-echo "==> HTTP parser property tests (incl. incremental split-feed): cargo test --test http_parser_proptest"
-cargo test -q --test http_parser_proptest
-
-echo "==> reactor fault isolation (peer resets): cargo test --test reactor_resilience"
-cargo test -q --test reactor_resilience
-
-echo "==> shutdown/drain soak: cargo test --test shutdown_drain"
-cargo test -q --test shutdown_drain
-
-echo "==> chunked generation invariance (any chunk size == monolithic): cargo test --test chunk_invariance"
-cargo test -q -p minaret-synth --test chunk_invariance
-
-echo "==> lazy profile materialization equivalence: cargo test --test streaming_world"
-cargo test -q --test streaming_world
-
-echo "==> batch-assignment solver unit tests: cargo test -p minaret-assign"
-cargo test -q -p minaret-assign
-
-echo "==> assignment invariants + goldens + one-fan-out pin: cargo test --test assign_properties"
-cargo test -q --test assign_properties
-
-echo "==> concurrent assign/recommend fan-out coalescing: cargo test --test assign_concurrency"
-cargo test -q --test assign_concurrency
+echo "==> every workspace test: cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> streaming smoke: minaret synth streams a 10^5-scholar snapshot"
 SYNTH_DIR="$(mktemp -d)"

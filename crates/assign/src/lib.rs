@@ -348,12 +348,7 @@ impl Assigner {
         let ext = match extraction {
             Ok(ext) => ext,
             Err(e) => {
-                self.count(match &e {
-                    MinaretError::InvalidManuscript(_) => "invalid",
-                    MinaretError::SourcesUnavailable { .. } => "sources_unavailable",
-                    MinaretError::NoCandidates => "no_candidates",
-                    _ => "error",
-                });
+                self.count(e.result_label());
                 return Err(e.into());
             }
         };

@@ -60,6 +60,19 @@ impl fmt::Display for MinaretError {
 
 impl std::error::Error for MinaretError {}
 
+impl MinaretError {
+    /// The `result` label this error is counted under in the
+    /// `minaret_recommend_total` and `minaret_assign_total` series.
+    pub fn result_label(&self) -> &'static str {
+        match self {
+            MinaretError::InvalidManuscript(_) => "invalid",
+            MinaretError::NoCandidates => "no_candidates",
+            MinaretError::SourcesUnavailable { .. } => "sources_unavailable",
+            MinaretError::AllSourcesFailed(_) => "error",
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

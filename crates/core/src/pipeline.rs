@@ -1,6 +1,6 @@
 //! The three-phase recommendation pipeline (Figure 2 of the paper).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -9,7 +9,7 @@ use minaret_ontology::{normalize_label, KeywordExpander, Ontology};
 use minaret_scholarly::{
     merge_profiles, MergedCandidate, SourceKind, SourceRegistry, SourceStatus,
 };
-use minaret_telemetry::Telemetry;
+use minaret_telemetry::{Telemetry, Trace};
 
 use crate::coi::AuthorRecord;
 use crate::config::EditorConfig;
@@ -242,10 +242,14 @@ impl RecommendationReport {
 /// shared candidate pool.
 #[derive(Debug)]
 pub struct PaperExtraction {
+    /// Identity-verification results, one per author.
+    pub verified_authors: Vec<VerifiedAuthor>,
     /// COI records for the manuscript's authors (identity-verified).
     pub author_records: Vec<AuthorRecord>,
     /// The manuscript's expanded keyword sets (drive coverage scoring).
     pub expansion_sets: Vec<KeywordExpansionSet>,
+    /// Keyword expansions, for the report.
+    pub expansions: Vec<ExpansionSummary>,
     /// Keywords that resolved to no ontology topic (searched literally).
     pub unknown_keywords: Vec<String>,
     /// Pool candidates matched by at least one of this manuscript's
@@ -378,73 +382,69 @@ impl Minaret {
             .set(cand_out as i64);
     }
 
-    /// Runs the full three-phase workflow for one manuscript.
+    /// Runs the full three-phase workflow for one manuscript. Phase 1 is
+    /// a one-manuscript [`extract_batch`](Self::extract_batch), so a
+    /// recommendation and a batch assignment read candidates from the
+    /// same extraction path.
     pub fn recommend(
         &self,
         manuscript: &ManuscriptDetails,
     ) -> Result<RecommendationReport, MinaretError> {
         let trace = self.telemetry.trace("recommend");
-        if let Err(e) = manuscript.validate() {
-            self.telemetry
-                .counter("minaret_recommend_total", &[("result", "invalid")])
-                .inc();
-            return Err(e);
-        }
-        let mut source_errors = Vec::new();
+        let result = self.run_phases(manuscript, &trace);
+        let label = match &result {
+            Ok(_) => "ok",
+            Err(e) => e.result_label(),
+        };
+        self.telemetry
+            .counter("minaret_recommend_total", &[("result", label)])
+            .inc();
+        result
+    }
+
+    fn run_phases(
+        &self,
+        manuscript: &ManuscriptDetails,
+        trace: &Trace,
+    ) -> Result<RecommendationReport, MinaretError> {
+        // Rejected before the extraction span opens, so an invalid
+        // manuscript leaves an empty trace and no phase metrics.
+        manuscript.validate()?;
 
         // ---- Phase 1: information extraction --------------------------
         let phase_span = trace.span("extraction");
         let t0 = Instant::now();
-        let verified_authors = self.verify_authors(manuscript);
-        let author_records: Vec<AuthorRecord> = manuscript
-            .authors
-            .iter()
-            .zip(&verified_authors)
-            .map(|(input, verified)| {
-                AuthorRecord::from_parts(
-                    &input.name,
-                    input.affiliation.as_deref(),
-                    input.country.as_deref(),
-                    verified.chosen.as_ref().map(|m| &m.candidate),
-                )
-            })
-            .collect();
-
-        let (expansion_sets, expansions, unknown_keywords) =
-            self.expand_keywords(&manuscript.keywords);
-
-        let (candidates, coverage) = self.retrieve_candidates(&expansion_sets, &mut source_errors);
-        let candidates_retrieved = candidates.len();
+        let extracted = self.extract_batch(std::slice::from_ref(manuscript));
         let extraction = t0.elapsed();
         drop(phase_span);
+        let candidates_retrieved = extracted.as_ref().map_or(0, |b| b.pool.len());
         self.note_phase(
             "extraction",
             extraction,
             manuscript.keywords.len(),
             candidates_retrieved,
         );
-        let degraded_sources: Vec<String> =
-            coverage.degraded.iter().map(|k| k.to_string()).collect();
+        let BatchExtraction {
+            pool,
+            mut papers,
+            source_errors,
+            degraded_sources,
+            ..
+        } = extracted?;
+        let paper = papers.pop().expect("one manuscript in, one extraction out");
+        // With a single manuscript every pool entry is one of its
+        // matches, and both lists ascend by pool index.
+        debug_assert_eq!(paper.matches.len(), pool.len());
+        let candidates: Vec<CandidateProfile> = pool
+            .into_iter()
+            .zip(paper.matches)
+            .map(|(merged, m)| CandidateProfile {
+                merged,
+                matched_keywords: m.matched_keywords,
+                keyword_score: m.keyword_score,
+            })
+            .collect();
         let degraded = !degraded_sources.is_empty();
-        if coverage.responded.len() < self.config.min_sources {
-            self.telemetry
-                .counter(
-                    "minaret_recommend_total",
-                    &[("result", "sources_unavailable")],
-                )
-                .inc();
-            return Err(MinaretError::SourcesUnavailable {
-                responded: coverage.responded.len(),
-                required: self.config.min_sources,
-                degraded: degraded_sources,
-            });
-        }
-        if candidates_retrieved == 0 {
-            self.telemetry
-                .counter("minaret_recommend_total", &[("result", "no_candidates")])
-                .inc();
-            return Err(MinaretError::NoCandidates);
-        }
 
         // ---- Phase 2: filtering ---------------------------------------
         let phase_span = trace.span("filtering");
@@ -452,8 +452,12 @@ impl Minaret {
         // Decisions are computed as a parallel order-preserving map; the
         // partition below runs sequentially on the combined output, so
         // kept/filtered orders match the single-threaded path exactly.
-        let decisions =
-            filter_decisions(&candidates, &author_records, &self.config, self.parallelism);
+        let decisions = filter_decisions(
+            &candidates,
+            &paper.author_records,
+            &self.config,
+            self.parallelism,
+        );
         let mut kept = Vec::new();
         let mut filtered_out = Vec::new();
         for (cand, decision) in candidates.into_iter().zip(decisions) {
@@ -474,7 +478,7 @@ impl Minaret {
         // sequential so ties break identically to the sequential path.
         let scores = score_candidates(
             &kept,
-            &expansion_sets,
+            &paper.expansion_sets,
             &manuscript.target_venue,
             &self.config,
             self.parallelism,
@@ -507,9 +511,6 @@ impl Minaret {
         let ranking = t2.elapsed();
         drop(phase_span);
         self.note_phase("ranking", ranking, ranking_in, recommendations.len());
-        self.telemetry
-            .counter("minaret_recommend_total", &[("result", "ok")])
-            .inc();
         if degraded {
             self.telemetry
                 .counter("minaret_recommend_degraded_total", &[])
@@ -518,9 +519,9 @@ impl Minaret {
 
         Ok(RecommendationReport {
             manuscript: manuscript.clone(),
-            verified_authors,
-            expansions,
-            unknown_keywords,
+            verified_authors: paper.verified_authors,
+            expansions: paper.expansions,
+            unknown_keywords: paper.unknown_keywords,
             candidates_retrieved,
             filtered_out,
             recommendations,
@@ -581,12 +582,13 @@ impl Minaret {
     /// per interest-capable source. Returns the shared merged candidate
     /// pool plus per-manuscript match slices into it; filtering and
     /// scoring remain per-paper concerns for the caller (the batch
-    /// assignment solver scores each paper against its slice).
+    /// assignment solver scores each paper against its slice). This is
+    /// the only phase-1 path: [`recommend`](Self::recommend) runs it on a
+    /// one-manuscript batch.
     ///
-    /// Errors mirror [`recommend`](Self::recommend): an invalid
-    /// manuscript (or empty batch) fails fast, too few responding
-    /// sources is [`MinaretError::SourcesUnavailable`], and an empty
-    /// pool is [`MinaretError::NoCandidates`].
+    /// An invalid manuscript (or empty batch) fails fast, too few
+    /// responding sources is [`MinaretError::SourcesUnavailable`], and an
+    /// empty pool is [`MinaretError::NoCandidates`].
     pub fn extract_batch(
         &self,
         manuscripts: &[ManuscriptDetails],
@@ -603,20 +605,15 @@ impl Minaret {
         // Per-paper preparation: author verification + keyword expansion.
         // Each paper keeps its own label → best-score map, because the
         // same label can expand with different similarity from different
-        // typed keywords.
-        struct Prep {
-            author_records: Vec<AuthorRecord>,
-            expansion_sets: Vec<KeywordExpansionSet>,
-            unknown_keywords: Vec<String>,
-            labels: HashMap<String, f64>,
-        }
-        let mut preps: Vec<Prep> = Vec::with_capacity(manuscripts.len());
+        // typed keywords. Matches are filled in after the fan-out.
+        let mut papers: Vec<PaperExtraction> = Vec::with_capacity(manuscripts.len());
+        let mut paper_labels: Vec<HashMap<String, f64>> = Vec::with_capacity(manuscripts.len());
         for m in manuscripts {
-            let verified = self.verify_authors(m);
+            let verified_authors = self.verify_authors(m);
             let author_records: Vec<AuthorRecord> = m
                 .authors
                 .iter()
-                .zip(&verified)
+                .zip(&verified_authors)
                 .map(|(input, verified)| {
                     AuthorRecord::from_parts(
                         &input.name,
@@ -626,7 +623,7 @@ impl Minaret {
                     )
                 })
                 .collect();
-            let (expansion_sets, _summaries, unknown_keywords) = self.expand_keywords(&m.keywords);
+            let (expansion_sets, expansions, unknown_keywords) = self.expand_keywords(&m.keywords);
             let mut labels: HashMap<String, f64> = HashMap::new();
             for set in &expansion_sets {
                 for (label, &score) in &set.scores {
@@ -636,23 +633,29 @@ impl Minaret {
                         .or_insert(score);
                 }
             }
-            preps.push(Prep {
+            paper_labels.push(labels);
+            papers.push(PaperExtraction {
+                verified_authors,
                 author_records,
                 expansion_sets,
+                expansions,
                 unknown_keywords,
-                labels,
+                matches: Vec::new(),
             });
         }
 
         // The union label set, sorted for a deterministic single fan-out.
-        let union: std::collections::BTreeSet<&str> = preps
+        let union: BTreeSet<&str> = paper_labels
             .iter()
-            .flat_map(|p| p.labels.keys().map(String::as_str))
+            .flat_map(|labels| labels.keys().map(String::as_str))
             .collect();
         let sorted_labels: Vec<String> = union.into_iter().map(str::to_string).collect();
 
         let mut source_errors = Vec::new();
-        let mut coverage = SourceCoverage::default();
+        // A batched fan-out answers or fails the whole label set in one
+        // call, so each source lands in at most one of these sets.
+        let mut responded = BTreeSet::new();
+        let mut degraded = BTreeSet::new();
         // label → hits from the one fan-out; each paper re-reads only the
         // labels it expanded.
         let mut by_label: HashMap<String, Vec<Arc<minaret_scholarly::SourceProfile>>> =
@@ -662,13 +665,18 @@ impl Minaret {
             for outcome in &report.outcomes {
                 match &outcome.status {
                     SourceStatus::Ok => {
-                        coverage.responded.insert(outcome.source);
+                        responded.insert(outcome.source);
                     }
                     SourceStatus::Failed(e) => {
-                        coverage.degraded.insert(outcome.source);
+                        degraded.insert(outcome.source);
+                        // One aggregated entry per failed source — a dead
+                        // source fails the whole batch once, not once per
+                        // label.
                         source_errors
                             .push(format!("{e} ({} labels affected)", sorted_labels.len()));
                     }
+                    // Skipped sources neither responded nor degrade the
+                    // run — they were never expected to answer.
                     SourceStatus::Skipped => {}
                 }
             }
@@ -676,18 +684,17 @@ impl Minaret {
                 by_label.insert(label.clone(), hits);
             }
         }
-        let degraded_sources: Vec<String> =
-            coverage.degraded.iter().map(|k| k.to_string()).collect();
-        if coverage.responded.len() < self.config.min_sources {
+        let degraded_sources: Vec<String> = degraded.iter().map(|k| k.to_string()).collect();
+        if responded.len() < self.config.min_sources {
             return Err(MinaretError::SourcesUnavailable {
-                responded: coverage.responded.len(),
+                responded: responded.len(),
                 required: self.config.min_sources,
                 degraded: degraded_sources,
             });
         }
 
-        // One global pool: every profile any label returned, deduped and
-        // merged exactly the way the single-manuscript path does it.
+        // One global pool: every profile any label returned, deduped by
+        // (source, key) and merged into candidates.
         let mut profiles: Vec<Arc<minaret_scholarly::SourceProfile>> = Vec::new();
         for label in &sorted_labels {
             if let Some(hits) = by_label.get(label) {
@@ -711,54 +718,45 @@ impl Minaret {
 
         // Per-paper slices: walk the paper's own labels over the shared
         // hits, scoring with the paper's own expansion scores.
-        let papers: Vec<PaperExtraction> = preps
-            .into_iter()
-            .map(|prep| {
-                let mut per_pool: HashMap<usize, HashMap<&str, f64>> = HashMap::new();
-                for (label, &score) in &prep.labels {
-                    let Some(hits) = by_label.get(label.as_str()) else {
-                        continue;
-                    };
-                    for p in hits {
-                        let idx = key_to_pool[p.key.as_str()];
-                        per_pool
-                            .entry(idx)
-                            .or_default()
-                            .entry(label.as_str())
-                            .and_modify(|s| *s = s.max(score))
-                            .or_insert(score);
+        for (paper, labels) in papers.iter_mut().zip(&paper_labels) {
+            let mut per_pool: HashMap<usize, HashMap<&str, f64>> = HashMap::new();
+            for (label, &score) in labels {
+                let Some(hits) = by_label.get(label.as_str()) else {
+                    continue;
+                };
+                for p in hits {
+                    let idx = key_to_pool[p.key.as_str()];
+                    per_pool
+                        .entry(idx)
+                        .or_default()
+                        .entry(label.as_str())
+                        .and_modify(|s| *s = s.max(score))
+                        .or_insert(score);
+                }
+            }
+            let mut matches: Vec<PaperCandidate> = per_pool
+                .into_iter()
+                .map(|(pool_index, label_scores)| {
+                    let mut matched_keywords: Vec<(String, f64)> = label_scores
+                        .into_iter()
+                        .map(|(l, s)| (l.to_string(), s))
+                        .collect();
+                    matched_keywords.sort_by(|a, b| {
+                        b.1.partial_cmp(&a.1)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then_with(|| a.0.cmp(&b.0))
+                    });
+                    let keyword_score = matched_keywords.first().map(|(_, s)| *s).unwrap_or(0.0);
+                    PaperCandidate {
+                        pool_index,
+                        matched_keywords,
+                        keyword_score,
                     }
-                }
-                let mut matches: Vec<PaperCandidate> = per_pool
-                    .into_iter()
-                    .map(|(pool_index, label_scores)| {
-                        let mut matched_keywords: Vec<(String, f64)> = label_scores
-                            .into_iter()
-                            .map(|(l, s)| (l.to_string(), s))
-                            .collect();
-                        matched_keywords.sort_by(|a, b| {
-                            b.1.partial_cmp(&a.1)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then_with(|| a.0.cmp(&b.0))
-                        });
-                        let keyword_score =
-                            matched_keywords.first().map(|(_, s)| *s).unwrap_or(0.0);
-                        PaperCandidate {
-                            pool_index,
-                            matched_keywords,
-                            keyword_score,
-                        }
-                    })
-                    .collect();
-                matches.sort_by_key(|c| c.pool_index);
-                PaperExtraction {
-                    author_records: prep.author_records,
-                    expansion_sets: prep.expansion_sets,
-                    unknown_keywords: prep.unknown_keywords,
-                    matches,
-                }
-            })
-            .collect();
+                })
+                .collect();
+            matches.sort_by_key(|c| c.pool_index);
+            paper.matches = matches;
+        }
 
         Ok(BatchExtraction {
             pool,
@@ -848,119 +846,6 @@ impl Minaret {
         }
         (sets, summaries, unknown)
     }
-
-    /// Phase-1 step: retrieve candidate reviewers by issuing the whole
-    /// expanded label set as **one batched fan-out** — every
-    /// interest-capable source answers all labels in a single
-    /// policy-governed call — then merging per-source profiles into
-    /// candidates. The second return value is the per-source health
-    /// ledger of that fan-out, which drives the degraded-mode decision.
-    fn retrieve_candidates(
-        &self,
-        expansion_sets: &[KeywordExpansionSet],
-        source_errors: &mut Vec<String>,
-    ) -> (Vec<CandidateProfile>, SourceCoverage) {
-        // Collect the distinct labels to search, with their best score.
-        let mut labels: HashMap<String, f64> = HashMap::new();
-        for set in expansion_sets {
-            for (label, &score) in &set.scores {
-                labels
-                    .entry(label.clone())
-                    .and_modify(|s| *s = s.max(score))
-                    .or_insert(score);
-            }
-        }
-        let mut sorted_labels: Vec<(String, f64)> = labels.into_iter().collect();
-        sorted_labels.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let mut profiles = Vec::new();
-        // profile key -> matched labels. Keys are globally unique (each
-        // embeds its source's prefix), and keying by the key alone keeps
-        // every merged profile's matches even when a name collision
-        // conflates two same-source profiles into one candidate.
-        let mut matched: HashMap<String, Vec<(String, f64)>> = HashMap::new();
-        let mut coverage = SourceCoverage::default();
-        if !sorted_labels.is_empty() {
-            let label_names: Vec<String> = sorted_labels
-                .iter()
-                .map(|(label, _)| label.clone())
-                .collect();
-            let report = self.registry.search_by_interests_report(&label_names);
-            for outcome in &report.outcomes {
-                match &outcome.status {
-                    SourceStatus::Ok => {
-                        coverage.responded.insert(outcome.source);
-                    }
-                    SourceStatus::Failed(e) => {
-                        coverage.degraded.insert(outcome.source);
-                        // One aggregated entry per failed source — a dead
-                        // source fails the whole batch once, not once per
-                        // label.
-                        source_errors.push(format!("{e} ({} labels affected)", label_names.len()));
-                    }
-                    // Skipped sources neither responded nor degrade the
-                    // run — they were never expected to answer.
-                    SourceStatus::Skipped => {}
-                }
-            }
-            // Per-label hits come back in input order, and within one
-            // label in source-registration order — the same profile
-            // stream the per-label fan-out loop used to produce.
-            for ((label, score), (_, hits)) in sorted_labels.iter().zip(report.by_label) {
-                for p in hits {
-                    matched
-                        .entry(p.key.clone())
-                        .or_default()
-                        .push((label.clone(), *score));
-                    profiles.push(p);
-                }
-            }
-        }
-        // Dedupe profiles found under several labels.
-        profiles.sort_by(|a, b| (a.source, &a.key).cmp(&(b.source, &b.key)));
-        profiles.dedup_by(|a, b| a.source == b.source && a.key == b.key);
-
-        let merged = merge_profiles(profiles);
-        let candidates = merged
-            .into_iter()
-            .map(|m| {
-                let mut label_scores: HashMap<String, f64> = HashMap::new();
-                for key in &m.keys {
-                    if let Some(ls) = matched.get(key) {
-                        for (l, s) in ls {
-                            label_scores
-                                .entry(l.clone())
-                                .and_modify(|cur| *cur = cur.max(*s))
-                                .or_insert(*s);
-                        }
-                    }
-                }
-                let mut matched_keywords: Vec<(String, f64)> = label_scores.into_iter().collect();
-                matched_keywords.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.0.cmp(&b.0))
-                });
-                let keyword_score = matched_keywords.first().map(|(_, s)| *s).unwrap_or(0.0);
-                CandidateProfile {
-                    merged: m,
-                    matched_keywords,
-                    keyword_score,
-                }
-            })
-            .collect();
-        (candidates, coverage)
-    }
-}
-
-/// Which sources answered (vs. failed) the run's batched retrieval
-/// fan-out. With batching a source answers or fails the whole label set
-/// in one call, so each source lands in exactly one bucket (or neither,
-/// when it was skipped as interest-incapable).
-#[derive(Debug, Default)]
-struct SourceCoverage {
-    responded: std::collections::BTreeSet<SourceKind>,
-    degraded: std::collections::BTreeSet<SourceKind>,
 }
 
 #[cfg(test)]
@@ -1290,63 +1175,6 @@ mod tests {
         assert_eq!(
             report.timings.total(),
             report.timings.extraction + report.timings.filtering + report.timings.ranking
-        );
-    }
-
-    #[test]
-    fn telemetry_records_phase_metrics_and_a_trace() {
-        let (world, minaret) = setup();
-        let telemetry = minaret_telemetry::Telemetry::new();
-        let minaret = minaret.with_telemetry(telemetry.clone());
-        let m = manuscript_from_world(&world);
-        minaret.recommend(&m).unwrap();
-
-        let text = telemetry.encode_prometheus();
-        for phase in ["extraction", "filtering", "ranking"] {
-            assert!(
-                text.contains(&format!(
-                    "minaret_phase_micros_count{{phase=\"{phase}\"}} 1"
-                )),
-                "missing phase histogram for {phase}:\n{text}"
-            );
-            for direction in ["in", "out"] {
-                assert!(
-                    text.contains(&format!(
-                        "minaret_phase_candidates{{direction=\"{direction}\",phase=\"{phase}\"}}"
-                    )),
-                    "missing {phase}/{direction} gauge:\n{text}"
-                );
-            }
-        }
-        assert!(
-            text.contains("minaret_recommend_total{result=\"ok\"} 1"),
-            "{text}"
-        );
-
-        let traces = telemetry.recent_traces();
-        assert_eq!(traces.len(), 1);
-        assert_eq!(traces[0].name, "recommend");
-        let span_names: Vec<&str> = traces[0].spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(span_names, ["extraction", "filtering", "ranking"]);
-        assert!(traces[0].spans.iter().all(|s| s.depth == 0));
-    }
-
-    #[test]
-    fn telemetry_counts_rejected_manuscripts() {
-        let (_, minaret) = setup();
-        let telemetry = minaret_telemetry::Telemetry::new();
-        let minaret = minaret.with_telemetry(telemetry.clone());
-        let m = ManuscriptDetails {
-            title: "".into(),
-            keywords: vec!["RDF".into()],
-            authors: vec![AuthorInput::named("A B")],
-            target_venue: "J".into(),
-        };
-        assert!(minaret.recommend(&m).is_err());
-        let text = telemetry.encode_prometheus();
-        assert!(
-            text.contains("minaret_recommend_total{result=\"invalid\"} 1"),
-            "{text}"
         );
     }
 

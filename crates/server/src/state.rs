@@ -10,8 +10,8 @@ use minaret_scholarly::{
 };
 use minaret_store::{Store, StoreConfig, StoreError};
 use minaret_synth::{
-    load_world, persist::load_world_streamed, stream_snapshot_world, StreamingGenerator, World,
-    WorldConfig, WorldGenerator,
+    load_world_streamed, stream_snapshot_world, StreamingGenerator, World, WorldConfig,
+    WorldGenerator,
 };
 use minaret_telemetry::Telemetry;
 
@@ -204,21 +204,13 @@ impl AppState {
     }
 }
 
-/// A matching world snapshot from `store`, preferring the chunked (v2)
-/// format and falling back to a legacy monolithic (v1) one. A snapshot
-/// for a different `(scholars, seed)` is stale and reported as absent.
+/// A matching world snapshot from `store`. A snapshot for a different
+/// `(scholars, seed)` is stale and reported as absent; a store holding
+/// only a retired v1 snapshot fails the boot.
 fn load_snapshot(store: &Store, scholars: usize, seed: u64) -> Result<Option<World>, StoreError> {
-    if let Some((world, meta)) = load_world_streamed(store)? {
-        if meta.scholars as usize == scholars && meta.seed == seed {
-            return Ok(Some(world));
-        }
-    }
-    if let Some((world, meta)) = load_world(store)? {
-        if meta.scholars as usize == scholars && meta.seed == seed {
-            return Ok(Some(world));
-        }
-    }
-    Ok(None)
+    Ok(load_world_streamed(store)?
+        .filter(|(_, meta)| meta.scholars as usize == scholars && meta.seed == seed)
+        .map(|(world, _)| world))
 }
 
 #[cfg(test)]
@@ -294,12 +286,28 @@ mod tests {
         assert!(
             matches!(value("minaret_world_chunk_bytes_total"), Some(SnapshotValue::Counter(n)) if n > 0)
         );
-        // The store now holds a chunked (v2) snapshot and no legacy one.
+        // The store now holds a chunked snapshot.
         let store = state.store.clone().expect("data-dir state has a store");
         assert!(load_world_streamed(&store).unwrap().is_some());
-        assert!(load_world(&store).unwrap().is_none());
         drop(state);
         drop(store);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn v1_only_data_dir_fails_boot_descriptively() {
+        let dir = std::env::temp_dir().join(format!("minaret-state-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let store = Store::open(&dir, StoreConfig::default()).unwrap();
+            store.put(b"world/meta", b"v1 meta").unwrap();
+            store.sync().unwrap();
+        }
+        let err = match AppState::demo_with_data_dir(80, 11, Telemetry::disabled(), 0, Some(&dir)) {
+            Ok(_) => panic!("a v1-only data dir must not boot"),
+            Err(e) => e.to_string(),
+        };
+        assert!(err.ends_with("migrate or regenerate"), "{err}");
         std::fs::remove_dir_all(dir).unwrap();
     }
 

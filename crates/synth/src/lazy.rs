@@ -209,30 +209,20 @@ impl LazyWorld {
     /// only the global tables and the per-scholar summaries. `Ok(None)`
     /// means the store holds no chunked snapshot.
     pub fn open(store: Arc<Store>) -> Result<Option<Arc<LazyWorld>>, StoreError> {
-        let Some(meta) = persist::get_stream_meta(&store)? else {
+        let Some(persist::SnapshotHead {
+            meta,
+            ontology,
+            venues,
+            institutions,
+        }) = persist::read_head(&store)?
+        else {
             return Ok(None);
         };
-        let section = |key: &[u8], what: &'static str| -> Result<Vec<u8>, StoreError> {
-            store.get(key)?.ok_or(StoreError::Codec {
-                what,
-                detail: "world snapshot is missing this section".into(),
-            })
-        };
-        let tables =
-            persist::decode_ontology(&section(b"world/ontology", "world ontology section")?)?;
-        let ontology = Ontology::from_tables(tables).map_err(|e| StoreError::Codec {
-            what: "world ontology section",
-            detail: e.to_string(),
-        })?;
-        let venues = persist::decode_venues(&section(b"world/venues", "world venues section")?)?;
-        let institutions = persist::decode_institutions(&section(
-            b"world/institutions",
-            "world institutions section",
-        )?)?;
         let mut summaries = Summaries::with_capacity(meta.scholars as usize);
         let mut seen = HashMap::new();
         for k in 0..meta.chunks as usize {
-            let chunk = persist::decode_summaries(&section(
+            let chunk = persist::decode_summaries(&persist::section(
+                &store,
                 &persist::summaries_key(k),
                 "world summaries section",
             )?)?;
@@ -321,24 +311,7 @@ impl LazyWorld {
         if let Some(hit) = self.cache.lock().expect("block cache poisoned").map.get(&b) {
             return Ok(hit.clone());
         }
-        let section = |key: Vec<u8>, what: &'static str| -> Result<Vec<u8>, StoreError> {
-            self.store.get(&key)?.ok_or(StoreError::Codec {
-                what,
-                detail: format!("chunk {b} missing from world snapshot"),
-            })
-        };
-        let scholars = persist::decode_scholars(&section(
-            persist::chunk_key(b, "scholars"),
-            "world chunk scholars section",
-        )?)?;
-        let papers = persist::decode_papers(&section(
-            persist::chunk_key(b, "papers"),
-            "world chunk papers section",
-        )?)?;
-        let reviews = persist::decode_reviews(&section(
-            persist::chunk_key(b, "reviews"),
-            "world chunk reviews section",
-        )?)?;
+        let (scholars, papers, reviews) = persist::read_chunk(&self.store, b)?;
         let block = Arc::new(WorldBlock::assemble(
             b * self.meta.block as usize,
             scholars,

@@ -2,24 +2,16 @@
 //!
 //! A [`World`] is fully determined by its raw entity tables, the
 //! ontology, and the current year — [`World::assemble`] recomputes
-//! every derived view from those. So a snapshot persists exactly that:
-//! seven versioned sections under `world/…` keys, each wrapped in the
-//! store codec's `[magic][tag][version]` envelope. Loading decodes the
-//! sections and reassembles; the result is byte-identical to the world
-//! that was snapshotted (string fields verbatim, adjacency ordering
+//! every derived view from those. [`stream_snapshot_world`] persists
+//! exactly that as a chunked snapshot: versioned sections under
+//! `world/…` keys, each wrapped in the store codec's
+//! `[magic][tag][version]` envelope, with the scholar, paper and review
+//! tables split into community-block chunks. [`load_world_streamed`]
+//! reassembles a materialized world from it and [`crate::LazyWorld`]
+//! serves it without materializing; both read the meta and the shared
+//! sections through one reader, `read_head`. Loading is byte-identical to the
+//! generated world (string fields verbatim, adjacency ordering
 //! preserved via [`Ontology::to_tables`]).
-//!
-//! Keys:
-//!
-//! | key                  | payload                      |
-//! |----------------------|------------------------------|
-//! | `world/meta`         | scholar count, seed, year    |
-//! | `world/ontology`     | verbatim ontology tables     |
-//! | `world/scholars`     | scholar table                |
-//! | `world/papers`       | paper table                  |
-//! | `world/venues`       | venue table                  |
-//! | `world/institutions` | institution table            |
-//! | `world/reviews`      | review table                 |
 
 use std::collections::HashMap;
 
@@ -33,7 +25,6 @@ use crate::world::{World, WorldStats};
 
 /// Envelope tags for the world sections.
 mod tag {
-    pub const META: u8 = 0x4D; // 'M'
     pub const ONTOLOGY: u8 = 0x4F; // 'O'
     pub const SCHOLARS: u8 = 0x53; // 'S'
     pub const PAPERS: u8 = 0x50; // 'P'
@@ -47,16 +38,15 @@ mod tag {
 /// Current world-snapshot format version (shared by all sections).
 pub const WORLD_FORMAT_VERSION: u8 = 1;
 
-const KEY_META: &[u8] = b"world/meta";
 const KEY_ONTOLOGY: &[u8] = b"world/ontology";
-const KEY_SCHOLARS: &[u8] = b"world/scholars";
-const KEY_PAPERS: &[u8] = b"world/papers";
 const KEY_VENUES: &[u8] = b"world/venues";
 const KEY_INSTITUTIONS: &[u8] = b"world/institutions";
-const KEY_REVIEWS: &[u8] = b"world/reviews";
 const KEY_STREAM_META: &[u8] = b"world/meta2";
+/// Meta key of the retired monolithic (v1) format, which this build
+/// recognizes only to refuse it.
+const KEY_V1_META: &[u8] = b"world/meta";
 
-pub(crate) fn chunk_key(chunk: usize, section: &str) -> Vec<u8> {
+fn chunk_key(chunk: usize, section: &str) -> Vec<u8> {
     format!("world/chunk/{chunk:08}/{section}").into_bytes()
 }
 
@@ -73,57 +63,6 @@ pub struct SnapshotMeta {
     pub seed: u64,
     /// The world's current (simulation) year.
     pub current_year: u32,
-}
-
-/// Writes `world` into `store` under the `world/…` keys, overwriting
-/// any previous snapshot, then flushes so the snapshot is durable.
-pub fn snapshot_world(store: &Store, world: &World, meta: SnapshotMeta) -> Result<(), StoreError> {
-    store.put(KEY_META, &encode_meta(meta))?;
-    store.put(KEY_ONTOLOGY, &encode_ontology(&world.ontology.to_tables()))?;
-    store.put(KEY_SCHOLARS, &encode_scholars(world.scholars()))?;
-    store.put(KEY_PAPERS, &encode_papers(world.papers()))?;
-    store.put(KEY_VENUES, &encode_venues(world.venues()))?;
-    store.put(KEY_INSTITUTIONS, &encode_institutions(world.institutions()))?;
-    store.put(KEY_REVIEWS, &encode_reviews(world.reviews()))?;
-    store.flush()?;
-    store.sync()
-}
-
-/// Reads the snapshot in `store`, if one exists, and reassembles the
-/// world. `Ok(None)` means the store holds no snapshot (fresh data
-/// directory); decode failures and version mismatches are errors.
-pub fn load_world(store: &Store) -> Result<Option<(World, SnapshotMeta)>, StoreError> {
-    let Some(meta_bytes) = store.get(KEY_META)? else {
-        return Ok(None);
-    };
-    let meta = decode_meta(&meta_bytes)?;
-    let section = |key: &[u8], what: &'static str| -> Result<Vec<u8>, StoreError> {
-        store.get(key)?.ok_or(StoreError::Codec {
-            what,
-            detail: "world snapshot is missing this section".into(),
-        })
-    };
-    let ontology_tables = decode_ontology(&section(KEY_ONTOLOGY, "world ontology section")?)?;
-    let ontology = Ontology::from_tables(ontology_tables).map_err(|e| StoreError::Codec {
-        what: "world ontology section",
-        detail: e.to_string(),
-    })?;
-    let scholars = decode_scholars(&section(KEY_SCHOLARS, "world scholars section")?)?;
-    let papers = decode_papers(&section(KEY_PAPERS, "world papers section")?)?;
-    let venues = decode_venues(&section(KEY_VENUES, "world venues section")?)?;
-    let institutions =
-        decode_institutions(&section(KEY_INSTITUTIONS, "world institutions section")?)?;
-    let reviews = decode_reviews(&section(KEY_REVIEWS, "world reviews section")?)?;
-    let world = World::assemble(
-        ontology,
-        meta.current_year,
-        scholars,
-        papers,
-        venues,
-        institutions,
-        reviews,
-    );
-    Ok(Some((world, meta)))
 }
 
 /// Provenance and layout of a chunked (v2) snapshot.
@@ -212,16 +151,15 @@ impl StreamTotals {
 /// | key                          | payload                         |
 /// |------------------------------|---------------------------------|
 /// | `world/meta2`                | counts, seed, block/chunk shape |
-/// | `world/ontology` … `world/institutions` | shared sections (v1 codecs) |
+/// | `world/ontology` … `world/institutions` | shared sections             |
 /// | `world/chunk/{k}/scholars`   | scholar table of chunk `k`      |
 /// | `world/chunk/{k}/papers`     | papers led by chunk `k`         |
 /// | `world/chunk/{k}/reviews`    | reviews by chunk `k`            |
 /// | `world/summaries/{k}`        | names + interests of chunk `k`  |
 ///
 /// `world/meta2` is written *last* and is the load gate, so an
-/// interrupted snapshot is invisible to loaders. Any stale v1
-/// `world/meta` is deleted so the two formats cannot disagree.
-/// `on_chunk` fires after each chunk is handed to the store.
+/// interrupted snapshot is invisible to loaders. `on_chunk` fires after
+/// each chunk is handed to the store.
 pub fn stream_snapshot_world(
     store: &Store,
     gen: &StreamingGenerator,
@@ -293,9 +231,6 @@ pub fn stream_snapshot_world(
             reviews: totals.reviews as u64,
         }),
     )?;
-    // A v1 snapshot shares the ontology/venues/institutions keys we just
-    // overwrote; drop its meta so it cannot be half-loaded later.
-    store.delete(KEY_META)?;
     store.flush()?;
     store.sync()?;
     Ok(totals)
@@ -316,45 +251,101 @@ fn name_hash(s: &Scholar) -> u64 {
     h
 }
 
-/// Loads a chunked (v2) snapshot into a fully materialized [`World`],
-/// if the store holds one. The eager counterpart of
-/// [`crate::LazyWorld::open`], used by the server which keeps the whole
-/// world resident.
-pub fn load_world_streamed(store: &Store) -> Result<Option<(World, SnapshotMeta)>, StoreError> {
+/// The resident head of a chunked snapshot: its meta plus the shared
+/// ontology, venue and institution sections.
+pub(crate) struct SnapshotHead {
+    pub meta: StreamMeta,
+    pub ontology: Ontology,
+    pub venues: Vec<Venue>,
+    pub institutions: Vec<Institution>,
+}
+
+/// The section stored under `key`, or a codec error naming `what` and
+/// the key when the snapshot lacks it.
+pub(crate) fn section(
+    store: &Store,
+    key: &[u8],
+    what: &'static str,
+) -> Result<Vec<u8>, StoreError> {
+    store.get(key)?.ok_or_else(|| StoreError::Codec {
+        what,
+        detail: format!(
+            "world snapshot is missing `{}`",
+            String::from_utf8_lossy(key)
+        ),
+    })
+}
+
+/// The scholar, paper and review tables of one chunk.
+pub(crate) type ChunkTables = (Vec<Scholar>, Vec<Paper>, Vec<ReviewRecord>);
+
+/// Reads and decodes the tables of chunk `k`.
+pub(crate) fn read_chunk(store: &Store, k: usize) -> Result<ChunkTables, StoreError> {
+    let part = |name: &str, what| section(store, &chunk_key(k, name), what);
+    Ok((
+        decode_scholars(&part("scholars", "world chunk scholars section")?)?,
+        decode_papers(&part("papers", "world chunk papers section")?)?,
+        decode_reviews(&part("reviews", "world chunk reviews section")?)?,
+    ))
+}
+
+/// Reads the head of the chunked snapshot in `store`. `Ok(None)` means
+/// the store holds no snapshot (fresh data directory). A store holding
+/// only a retired v1 snapshot is an error, as is any decode failure or
+/// version mismatch.
+pub(crate) fn read_head(store: &Store) -> Result<Option<SnapshotHead>, StoreError> {
     let Some(meta_bytes) = store.get(KEY_STREAM_META)? else {
+        if store.get(KEY_V1_META)?.is_some() {
+            return Err(StoreError::Codec {
+                what: "world snapshot",
+                detail: "the store holds only a v1 snapshot (`world/meta`), a format this \
+                         build no longer reads; migrate or regenerate"
+                    .into(),
+            });
+        }
         return Ok(None);
     };
     let meta = decode_stream_meta(&meta_bytes)?;
-    let section = |key: &[u8], what: &'static str| -> Result<Vec<u8>, StoreError> {
-        store.get(key)?.ok_or(StoreError::Codec {
-            what,
-            detail: "world snapshot is missing this section".into(),
-        })
-    };
-    let ontology_tables = decode_ontology(&section(KEY_ONTOLOGY, "world ontology section")?)?;
-    let ontology = Ontology::from_tables(ontology_tables).map_err(|e| StoreError::Codec {
+    let tables = decode_ontology(&section(store, KEY_ONTOLOGY, "world ontology section")?)?;
+    let ontology = Ontology::from_tables(tables).map_err(|e| StoreError::Codec {
         what: "world ontology section",
         detail: e.to_string(),
     })?;
-    let venues = decode_venues(&section(KEY_VENUES, "world venues section")?)?;
-    let institutions =
-        decode_institutions(&section(KEY_INSTITUTIONS, "world institutions section")?)?;
+    let venues = decode_venues(&section(store, KEY_VENUES, "world venues section")?)?;
+    let institutions = decode_institutions(&section(
+        store,
+        KEY_INSTITUTIONS,
+        "world institutions section",
+    )?)?;
+    Ok(Some(SnapshotHead {
+        meta,
+        ontology,
+        venues,
+        institutions,
+    }))
+}
+
+/// Loads a chunked snapshot into a fully materialized [`World`], if the
+/// store holds one. The eager counterpart of [`crate::LazyWorld::open`],
+/// used by the server which keeps the whole world resident.
+pub fn load_world_streamed(store: &Store) -> Result<Option<(World, SnapshotMeta)>, StoreError> {
+    let Some(SnapshotHead {
+        meta,
+        ontology,
+        venues,
+        institutions,
+    }) = read_head(store)?
+    else {
+        return Ok(None);
+    };
     let mut scholars = Vec::with_capacity(meta.scholars as usize);
     let mut papers = Vec::with_capacity(meta.papers as usize);
     let mut reviews = Vec::with_capacity(meta.reviews as usize);
     for k in 0..meta.chunks as usize {
-        scholars.extend(decode_scholars(&section(
-            &chunk_key(k, "scholars"),
-            "world chunk scholars section",
-        )?)?);
-        papers.extend(decode_papers(&section(
-            &chunk_key(k, "papers"),
-            "world chunk papers section",
-        )?)?);
-        reviews.extend(decode_reviews(&section(
-            &chunk_key(k, "reviews"),
-            "world chunk reviews section",
-        )?)?);
+        let (s, p, r) = read_chunk(store, k)?;
+        scholars.extend(s);
+        papers.extend(p);
+        reviews.extend(r);
     }
     let world = World::assemble(
         ontology,
@@ -406,7 +397,7 @@ fn encode_stream_meta(meta: StreamMeta) -> Vec<u8> {
     w.finish()
 }
 
-pub(crate) fn decode_stream_meta(bytes: &[u8]) -> Result<StreamMeta, StoreError> {
+fn decode_stream_meta(bytes: &[u8]) -> Result<StreamMeta, StoreError> {
     let (mut r, _) = Reader::versioned(
         "world stream meta section",
         bytes,
@@ -424,13 +415,6 @@ pub(crate) fn decode_stream_meta(bytes: &[u8]) -> Result<StreamMeta, StoreError>
     };
     r.expect_end()?;
     Ok(meta)
-}
-
-pub(crate) fn get_stream_meta(store: &Store) -> Result<Option<StreamMeta>, StoreError> {
-    match store.get(KEY_STREAM_META)? {
-        Some(bytes) => Ok(Some(decode_stream_meta(&bytes)?)),
-        None => Ok(None),
-    }
 }
 
 /// Encodes the compact per-scholar summaries (names + interests) the
@@ -471,26 +455,6 @@ pub(crate) fn decode_summaries(bytes: &[u8]) -> Result<SummaryChunk, StoreError>
     Ok(SummaryChunk { names, interests })
 }
 
-fn encode_meta(meta: SnapshotMeta) -> Vec<u8> {
-    let mut w = Writer::versioned(tag::META, WORLD_FORMAT_VERSION);
-    w.u32(meta.scholars);
-    w.u64(meta.seed);
-    w.u32(meta.current_year);
-    w.finish()
-}
-
-fn decode_meta(bytes: &[u8]) -> Result<SnapshotMeta, StoreError> {
-    let (mut r, _) =
-        Reader::versioned("world meta section", bytes, tag::META, WORLD_FORMAT_VERSION)?;
-    let meta = SnapshotMeta {
-        scholars: r.u32()?,
-        seed: r.u64()?,
-        current_year: r.u32()?,
-    };
-    r.expect_end()?;
-    Ok(meta)
-}
-
 fn write_topic_ids(w: &mut Writer, ids: &[TopicId]) {
     w.u32(ids.len() as u32);
     for t in ids {
@@ -526,7 +490,7 @@ fn encode_ontology(tables: &OntologyTables) -> Vec<u8> {
     w.finish()
 }
 
-pub(crate) fn decode_ontology(bytes: &[u8]) -> Result<OntologyTables, StoreError> {
+fn decode_ontology(bytes: &[u8]) -> Result<OntologyTables, StoreError> {
     let (mut r, _) = Reader::versioned(
         "world ontology section",
         bytes,
@@ -587,7 +551,7 @@ fn encode_scholars(scholars: &[Scholar]) -> Vec<u8> {
     w.finish()
 }
 
-pub(crate) fn decode_scholars(bytes: &[u8]) -> Result<Vec<Scholar>, StoreError> {
+fn decode_scholars(bytes: &[u8]) -> Result<Vec<Scholar>, StoreError> {
     let (mut r, _) = Reader::versioned(
         "world scholars section",
         bytes,
@@ -642,7 +606,7 @@ fn encode_papers(papers: &[Paper]) -> Vec<u8> {
     w.finish()
 }
 
-pub(crate) fn decode_papers(bytes: &[u8]) -> Result<Vec<Paper>, StoreError> {
+fn decode_papers(bytes: &[u8]) -> Result<Vec<Paper>, StoreError> {
     let (mut r, _) = Reader::versioned(
         "world papers section",
         bytes,
@@ -692,7 +656,7 @@ fn encode_venues(venues: &[Venue]) -> Vec<u8> {
     w.finish()
 }
 
-pub(crate) fn decode_venues(bytes: &[u8]) -> Result<Vec<Venue>, StoreError> {
+fn decode_venues(bytes: &[u8]) -> Result<Vec<Venue>, StoreError> {
     let (mut r, _) = Reader::versioned(
         "world venues section",
         bytes,
@@ -737,7 +701,7 @@ fn encode_institutions(institutions: &[Institution]) -> Vec<u8> {
     w.finish()
 }
 
-pub(crate) fn decode_institutions(bytes: &[u8]) -> Result<Vec<Institution>, StoreError> {
+fn decode_institutions(bytes: &[u8]) -> Result<Vec<Institution>, StoreError> {
     let (mut r, _) = Reader::versioned(
         "world institutions section",
         bytes,
@@ -770,7 +734,7 @@ fn encode_reviews(reviews: &[ReviewRecord]) -> Vec<u8> {
     w.finish()
 }
 
-pub(crate) fn decode_reviews(bytes: &[u8]) -> Result<Vec<ReviewRecord>, StoreError> {
+fn decode_reviews(bytes: &[u8]) -> Result<Vec<ReviewRecord>, StoreError> {
     let (mut r, _) = Reader::versioned(
         "world reviews section",
         bytes,
@@ -814,22 +778,80 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_then_load_reproduces_the_world_exactly() {
-        let dir = tmp_dir("roundtrip");
-        let (world, cfg) = small_world();
-        let meta = SnapshotMeta {
-            scholars: cfg.scholars as u32,
-            seed: cfg.seed,
-            current_year: world.current_year,
-        };
-        {
-            let store = Store::open(&dir, StoreConfig::default()).unwrap();
-            snapshot_world(&store, &world, meta).unwrap();
+    fn empty_store_loads_nothing() {
+        let dir = tmp_dir("empty");
+        let store = std::sync::Arc::new(Store::open(&dir, StoreConfig::default()).unwrap());
+        assert!(load_world_streamed(&store).unwrap().is_none());
+        assert!(crate::LazyWorld::open(store.clone()).unwrap().is_none());
+        drop(store);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn future_version_is_rejected_descriptively() {
+        let dir = tmp_dir("future");
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        let mut w = Writer::versioned(tag::STREAM_META, WORLD_FORMAT_VERSION + 1);
+        w.u32(1);
+        w.u64(2);
+        w.u32(3);
+        store.put(KEY_STREAM_META, &w.finish()).unwrap();
+        let err = load_world_streamed(&store).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("format version"), "{msg}");
+        assert!(msg.contains("migrate or regenerate"), "{msg}");
+        drop(store);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn v1_only_store_is_rejected_descriptively() {
+        let dir = tmp_dir("v1");
+        let store = std::sync::Arc::new(Store::open(&dir, StoreConfig::default()).unwrap());
+        store.put(KEY_V1_META, b"v1 meta").unwrap();
+        let eager = load_world_streamed(&store).unwrap_err().to_string();
+        let lazy = crate::LazyWorld::open(store.clone())
+            .unwrap_err()
+            .to_string();
+        for msg in [eager, lazy] {
+            assert!(msg.contains("v1"), "{msg}");
+            assert!(msg.ends_with("migrate or regenerate"), "{msg}");
         }
+        drop(store);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn streamed_snapshot_round_trips_the_world_exactly() {
+        let dir = tmp_dir("streamed");
+        let (world, cfg) = small_world();
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        let gen = StreamingGenerator::new(cfg.clone());
+        let mut progress = Vec::new();
+        let totals = stream_snapshot_world(&store, &gen, |p| progress.push(*p)).unwrap();
+        assert_eq!(totals.chunks, progress.len());
+        assert_eq!(progress.last().unwrap().scholars_done, cfg.scholars);
+        assert!(totals.peak_chunk_bytes <= totals.bytes as usize);
+        assert_eq!(
+            totals.stats(),
+            world.stats(),
+            "streamed totals must reproduce eager WorldStats"
+        );
+        drop(store);
         // A fresh process: open the store and load.
         let store = Store::open(&dir, StoreConfig::default()).unwrap();
-        let (loaded, loaded_meta) = load_world(&store).unwrap().expect("snapshot present");
-        assert_eq!(loaded_meta, meta);
+        let (loaded, meta) = load_world_streamed(&store)
+            .unwrap()
+            .expect("snapshot present");
+        assert_eq!(
+            meta,
+            SnapshotMeta {
+                scholars: cfg.scholars as u32,
+                seed: cfg.seed,
+                current_year: world.current_year,
+            }
+        );
+        assert_eq!(world_fingerprint(&loaded), world_fingerprint(&world));
         assert_eq!(loaded.current_year, world.current_year);
         assert_eq!(loaded.scholars(), world.scholars());
         assert_eq!(loaded.papers(), world.papers());
@@ -846,73 +868,6 @@ mod tests {
             assert_eq!(loaded.papers_of(s.id), world.papers_of(s.id));
             assert_eq!(loaded.h_index_of(s.id), world.h_index_of(s.id));
         }
-        drop(store);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn empty_store_loads_nothing() {
-        let dir = tmp_dir("empty");
-        let store = Store::open(&dir, StoreConfig::default()).unwrap();
-        assert!(load_world(&store).unwrap().is_none());
-        drop(store);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn future_version_is_rejected_descriptively() {
-        let dir = tmp_dir("future");
-        let store = Store::open(&dir, StoreConfig::default()).unwrap();
-        let mut w = Writer::versioned(tag::META, WORLD_FORMAT_VERSION + 1);
-        w.u32(1);
-        w.u64(2);
-        w.u32(3);
-        store.put(KEY_META, &w.finish()).unwrap();
-        let err = load_world(&store).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("format version"), "{msg}");
-        assert!(msg.contains("migrate or regenerate"), "{msg}");
-        drop(store);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn streamed_snapshot_round_trips_and_supersedes_v1() {
-        let dir = tmp_dir("streamed");
-        let (world, cfg) = small_world();
-        let store = Store::open(&dir, StoreConfig::default()).unwrap();
-        // A stale v1 snapshot first: streaming must retire it.
-        snapshot_world(
-            &store,
-            &world,
-            SnapshotMeta {
-                scholars: cfg.scholars as u32,
-                seed: cfg.seed,
-                current_year: world.current_year,
-            },
-        )
-        .unwrap();
-        let gen = StreamingGenerator::new(cfg.clone());
-        let mut progress = Vec::new();
-        let totals = stream_snapshot_world(&store, &gen, |p| progress.push(*p)).unwrap();
-        assert_eq!(totals.chunks, progress.len());
-        assert_eq!(progress.last().unwrap().scholars_done, cfg.scholars);
-        assert!(totals.peak_chunk_bytes <= totals.bytes as usize);
-        assert_eq!(
-            totals.stats(),
-            world.stats(),
-            "streamed totals must reproduce eager WorldStats"
-        );
-        assert!(
-            load_world(&store).unwrap().is_none(),
-            "v1 meta must be retired by a streamed snapshot"
-        );
-        let (loaded, meta) = load_world_streamed(&store).unwrap().expect("v2 present");
-        assert_eq!(meta.seed, cfg.seed);
-        assert_eq!(world_fingerprint(&loaded), world_fingerprint(&world));
-        assert_eq!(loaded.scholars(), world.scholars());
-        assert_eq!(loaded.papers(), world.papers());
-        assert_eq!(loaded.reviews(), world.reviews());
         drop(store);
         std::fs::remove_dir_all(dir).unwrap();
     }

@@ -454,32 +454,24 @@ struct StoreMeasured {
 /// `--data-dir`.
 fn measure_store() -> StoreMeasured {
     use minaret::store::{Store, StoreConfig};
-    use minaret::synth::{load_world, snapshot_world, SnapshotMeta};
+    use minaret::synth::{load_world_streamed, stream_snapshot_world, StreamingGenerator};
 
     let dir = std::env::temp_dir().join(format!("minaret-perf-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     // Full regeneration cost: the bar a snapshot-served cold start must
     // clear.
-    let t = Instant::now();
-    let world = WorldGenerator::new(WorldConfig {
+    let config = WorldConfig {
         seed: 0xE7,
         ..WorldConfig::sized(STORE_SCHOLARS)
-    })
-    .generate();
+    };
+    let t = Instant::now();
+    let world = WorldGenerator::new(config.clone()).generate();
     let regen = t.elapsed();
 
     let store = Store::open(&dir, StoreConfig::default()).expect("store opens");
-    snapshot_world(
-        &store,
-        &world,
-        SnapshotMeta {
-            scholars: STORE_SCHOLARS as u32,
-            seed: 0xE7,
-            current_year: world.current_year,
-        },
-    )
-    .expect("snapshot written");
+    stream_snapshot_world(&store, &StreamingGenerator::new(config), |_| {})
+        .expect("snapshot written");
 
     // Per-op put latency over profile-sized values (buffered WAL path).
     let value = vec![0xABu8; 512];
@@ -512,7 +504,7 @@ fn measure_store() -> StoreMeasured {
     let store = Store::open(&dir, StoreConfig::default()).expect("store reopens");
     let recovery_millis = store.stats().recovery_millis;
     let t = Instant::now();
-    let (loaded, _) = load_world(&store)
+    let (loaded, _) = load_world_streamed(&store)
         .expect("snapshot loads")
         .expect("snapshot present");
     let cold_start = t.elapsed();
